@@ -65,7 +65,9 @@ class ThreadPool {
 
 /// Number of threads the default pool uses: the SDMS_THREADS
 /// environment variable when set (clamped to [1, 64]), otherwise
-/// std::thread::hardware_concurrency().
+/// std::thread::hardware_concurrency(). `0` and negative values clamp
+/// to 1, which turns the pool off (work runs sequentially). A value
+/// that does not parse as a number is ignored, as if unset.
 size_t DefaultThreadCount();
 
 /// Lazily-constructed process-wide pool sized by DefaultThreadCount().

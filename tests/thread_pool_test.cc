@@ -91,5 +91,11 @@ TEST(ThreadPoolTest, DefaultThreadCountHonorsEnv) {
   EXPECT_GE(DefaultThreadCount(), 1u);
 }
 
+TEST(ThreadPoolTest, DefaultThreadCountClampsNegativeToOne) {
+  ::setenv("SDMS_THREADS", "-4", 1);  // clamped up to 1: no pool
+  EXPECT_EQ(DefaultThreadCount(), 1u);
+  ::unsetenv("SDMS_THREADS");
+}
+
 }  // namespace
 }  // namespace sdms
