@@ -86,6 +86,18 @@ Collection::Collection(Coupling* coupling, Oid self,
 
 Collection::~Collection() = default;
 
+std::string Collection::RepresentedClass() const {
+  if (!parsed_spec_ || parsed_spec_->where != nullptr ||
+      parsed_spec_->select.size() != 1 ||
+      parsed_spec_->select[0]->kind != oodb::vql::ExprKind::kVarRef) {
+    return "";
+  }
+  for (const oodb::vql::Binding& b : parsed_spec_->bindings) {
+    if (b.var == parsed_spec_->select[0]->name) return b.class_name;
+  }
+  return "";
+}
+
 // ---------------------------------------------------------------------------
 // indexObjects
 // ---------------------------------------------------------------------------

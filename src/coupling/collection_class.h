@@ -176,6 +176,11 @@ class Collection {
   const std::set<Oid>& represented() const { return represented_; }
 
   const std::string& spec_query() const { return spec_query_; }
+  /// The class whose whole extent the specification query represents
+  /// ("ACCESS p FROM p IN PARA" -> "PARA"); empty when the spec filters
+  /// with a WHERE clause or selects anything but a range variable.
+  /// Values of other objects in getIRSResult dictionaries are derived.
+  std::string RepresentedClass() const;
   int text_mode() const { return text_mode_; }
 
   size_t pending_updates() const { return update_log_.size(); }

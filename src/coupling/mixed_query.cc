@@ -106,6 +106,14 @@ std::string ShapeOf(const ParsedQuery& query) {
   return StrFormat("b%zu.c%zu", query.bindings.size(), content);
 }
 
+/// Class of range variable `var` ("" when `var` is not bound).
+std::string FromClass(const ParsedQuery& query, const std::string& var) {
+  for (const oodb::vql::Binding& b : query.bindings) {
+    if (b.var == var) return b.class_name;
+  }
+  return "";
+}
+
 }  // namespace
 
 StatusOr<QueryResult> MixedQueryEvaluator::Run(
@@ -222,6 +230,15 @@ Status MixedQueryEvaluator::ApplyIrsFirst(const ParsedQuery& query) {
     if (!AsContentRestriction(*conjunct, &r)) continue;
     SDMS_ASSIGN_OR_RETURN(Collection * coll,
                           coupling_->GetCollectionByName(r.collection));
+    // Only a variable ranging over the represented class can be
+    // restricted: the getIRSResult dictionary also buffers values
+    // findIRSValue derived for unrepresented objects (Figure 3), and a
+    // variable over another class draws its values from derivation.
+    // Such a conjunct is left to independent evaluation.
+    std::string represented = coll->RepresentedClass();
+    if (represented.empty() || FromClass(query, r.var) != represented) {
+      continue;
+    }
     // Soundness guard: objects absent from the IRS result still score
     // the query's null belief. If that already passes the threshold,
     // the content predicate cannot restrict the candidate set (every
@@ -248,7 +265,8 @@ Status MixedQueryEvaluator::ApplyIrsFirst(const ParsedQuery& query) {
     const OidScoreMap* result = *result_or;
     std::set<Oid> qualifying;
     for (const auto& [oid, score] : *result) {
-      if (score > r.threshold || (r.inclusive && score >= r.threshold)) {
+      if ((score > r.threshold || (r.inclusive && score >= r.threshold)) &&
+          coll->Represents(oid)) {
         qualifying.insert(oid);
       }
     }

@@ -83,8 +83,9 @@ class BlockPostingsList {
   /// postings_scanned / blocks_decoded accounting.
   Status DecodeBlockInto(size_t i, std::vector<Posting>& out) const;
 
-  /// Decodes the whole list (tf-cache builds, compaction, the oracle
-  /// tests, serialization).
+  /// Decodes the whole list (compaction, serialization, digests and
+  /// invariant checks, resharding, the oracle tests). Query paths read
+  /// through PostingsCursor instead.
   StatusOr<std::vector<Posting>> DecodeAll() const;
 
   /// Marks block `i` sealed at `handle` and drops its resident bytes.

@@ -1,7 +1,6 @@
 #ifndef SDMS_IRS_INDEX_POSTINGS_KERNELS_H_
 #define SDMS_IRS_INDEX_POSTINGS_KERNELS_H_
 
-#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -10,39 +9,14 @@
 
 namespace sdms::irs {
 
-/// Doc-at-a-time kernels over sorted postings lists. These back the
-/// conjunctive operators (#and in the boolean model, candidate
-/// generation for #odN/#uwN windows) and replace set-based merges with
-/// galloping (exponential search) intersection: cost is
-/// O(k · |smallest| · log(|largest| / |smallest|)) instead of a full
-/// scan-and-sort of every list.
-///
-/// Two tiers exist:
-///   * cursor kernels (IntersectCursors / UnionCursors / …) operate on
-///     block-compressed lists through PostingsCursor, skipping whole
-///     blocks via last_doc metadata without decoding them — the
-///     production query path;
-///   * flat kernels (GallopTo / IntersectPostings / UnionPostings)
-///     operate on decoded `std::vector<Posting>` and are retained as
-///     the reference implementation — the oracle the block path is
-///     tested bit-identical against — and for callers that already
-///     hold decoded lists.
-
-/// Smallest index i in [lo, postings.size()) with postings[i].doc >=
-/// target, found by exponential probing followed by binary search.
-/// Returns postings.size() when no such element exists.
-size_t GallopTo(const std::vector<Posting>& postings, size_t lo, DocId target);
-
-/// Documents present in *every* list (ascending). Lists are processed
-/// rarest-first; candidates from the smallest list are confirmed by
-/// galloping through the others. Empty input yields an empty result.
-std::vector<DocId> IntersectPostings(
-    std::vector<const std::vector<Posting>*> lists);
-
-/// Documents present in *any* list (ascending, deduplicated) — a k-way
-/// merge producing a sorted candidate vector without a std::set.
-std::vector<DocId> UnionPostings(
-    const std::vector<const std::vector<Posting>*>& lists);
+/// Conjunction kernels over block-compressed postings lists, read
+/// through PostingsCursor: the rarest list drives and the others
+/// SkipTo each of its documents, galloping over block last_doc
+/// metadata, so blocks that cannot contain a common document are never
+/// decoded. They back boolean #and over terms and candidate generation
+/// for the #odN/#uwN windows. Disjunctive scoring (the inference net,
+/// BM25, VSM) runs its own document-at-a-time loop over the same
+/// cursors; PostingsCursor is the only postings read path.
 
 /// Conjunction over block cursors, driving a visitor: `visit(doc)` is
 /// invoked for every doc present in all lists, with every cursor in
@@ -58,17 +32,6 @@ Status IntersectCursorsVisit(std::vector<PostingsCursor>& cursors,
 /// Documents present in *every* cursor's list (ascending).
 StatusOr<std::vector<DocId>> IntersectCursors(
     std::vector<PostingsCursor> cursors);
-
-/// Documents present in *any* cursor's list (ascending, deduplicated)
-/// — the k-way merge over lazily decoded blocks.
-StatusOr<std::vector<DocId>> UnionCursors(std::vector<PostingsCursor> cursors);
-
-/// Keeps the k best (score, doc) pairs with a bounded min-heap instead
-/// of materializing and fully sorting every scored document. Orders by
-/// descending score, ties broken by ascending doc id. k == 0 returns
-/// everything sorted.
-std::vector<std::pair<DocId, double>> TopK(
-    const std::vector<std::pair<DocId, double>>& scored, size_t k);
 
 }  // namespace sdms::irs
 

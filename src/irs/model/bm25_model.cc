@@ -40,12 +40,12 @@ class Bm25Model : public RetrievalModel {
           corpus != nullptr ? corpus->Df(term) : index.DocFreq(term);
       if (df == 0) continue;
       double idf = Idf(n, static_cast<double>(df));
-      SDMS_ASSIGN_OR_RETURN(std::vector<Posting> postings,
-                            index.DecodePostings(term));
-      for (const Posting& p : postings) {
-        auto info = index.GetDoc(p.doc);
+      for (PostingsCursor c = index.OpenCursor(term); !c.AtEnd(); c.Next()) {
+        DocId doc = c.doc();
+        if (c.AtEnd()) return c.status();  // decode failure latched
+        auto info = index.GetDoc(doc);
         double dl = info.ok() ? static_cast<double>((*info)->length) : avgdl;
-        scores[p.doc] += Contribution(tf_q, idf, p.tf, dl, avgdl);
+        scores[doc] += Contribution(tf_q, idf, c.tf(), dl, avgdl);
       }
     }
     return scores;

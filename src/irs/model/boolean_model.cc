@@ -55,11 +55,14 @@ class BooleanModel : public RetrievalModel {
                            const QueryNode& node) const {
     switch (node.op) {
       case QueryOp::kTerm: {
-        SDMS_ASSIGN_OR_RETURN(std::vector<Posting> postings,
-                              index.DecodePostings(node.term));
+        PostingsCursor c = index.OpenCursor(node.term);
         DocSet out;
-        out.reserve(postings.size());
-        for (const Posting& p : postings) out.push_back(p.doc);
+        out.reserve(c.size());
+        for (; !c.AtEnd(); c.Next()) {
+          DocId doc = c.doc();
+          if (c.AtEnd()) return c.status();  // decode failure latched
+          out.push_back(doc);
+        }
         return out;
       }
       case QueryOp::kAnd: {

@@ -1,11 +1,9 @@
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <map>
 #include <unordered_map>
 
 #include "common/query_context.h"
-#include "irs/index/postings_kernels.h"
 #include "irs/index/proximity.h"
 #include "irs/model/retrieval_model.h"
 
@@ -39,91 +37,108 @@ class InferenceNetModel : public RetrievalModel {
     // Candidate generation: every document providing evidence for some
     // evidence node — containing a plain query term, or matching a
     // window expression. Other documents keep the all-default belief,
-    // which is constant across documents and rank-irrelevant. The
-    // candidate set is a sorted-vector k-way union of the evidence
-    // postings (doc-at-a-time), not a std::set accumulation. Each
-    // unique query term is decoded exactly once; `decoded` owns the
-    // lists (deque: growth never invalidates the pointers in
-    // `term_lists`).
-    TfCache tf_cache;
-    std::deque<std::vector<Posting>> decoded;
-    std::vector<const std::vector<Posting>*> term_lists;
+    // which is constant across documents and rank-irrelevant. One
+    // document-at-a-time pass merges a cursor per distinct evidence
+    // term with the sorted window-match documents; each term node
+    // reads the current document's tf from its term's slot.
+    TermSlots slots;
     std::vector<DocId> window_docs;
-    SDMS_RETURN_IF_ERROR(CollectEvidence(index, query, window_cache, decoded,
-                                         term_lists, window_docs, tf_cache));
-    std::vector<DocId> candidates = UnionPostings(term_lists);
-    if (!window_docs.empty()) {
-      std::sort(window_docs.begin(), window_docs.end());
-      window_docs.erase(std::unique(window_docs.begin(), window_docs.end()),
-                        window_docs.end());
-      std::vector<DocId> merged;
-      merged.reserve(candidates.size() + window_docs.size());
-      std::set_union(candidates.begin(), candidates.end(), window_docs.begin(),
-                     window_docs.end(), std::back_inserter(merged));
-      candidates = std::move(merged);
-    }
+    CollectEvidence(index, query, corpus, window_cache, slots, window_docs);
+    std::sort(window_docs.begin(), window_docs.end());
+    window_docs.erase(std::unique(window_docs.begin(), window_docs.end()),
+                      window_docs.end());
 
     ScoreMap out;
-    out.reserve(candidates.size());
+    size_t evidence = window_docs.size();
+    for (const PostingsCursor& c : slots.cursors) evidence += c.size();
+    out.reserve(evidence);
     const double n = std::max<double>(
         corpus != nullptr ? corpus->doc_count : index.doc_count(), 1.0);
     const double avgdl = std::max(corpus != nullptr ? corpus->avg_doc_length()
                                                     : index.avg_doc_length(),
                                   1e-9);
+    size_t next_window = 0;
     size_t steps = 0;
-    for (DocId d : candidates) {
+    while (true) {
       // The per-candidate belief walk is the scoring hot loop; stop
       // promptly once the query's deadline/cancellation fires.
       if (++steps % 256 == 0 && QueryShouldStop()) {
         return CurrentQueryStatus();
       }
+      // Next candidate: the smallest document under any cursor or
+      // window match.
+      bool have = next_window < window_docs.size();
+      DocId d = have ? window_docs[next_window] : 0;
+      for (PostingsCursor& c : slots.cursors) {
+        if (c.AtEnd()) continue;
+        DocId cd = c.doc();
+        if (c.AtEnd()) return c.status();  // decode failure latched
+        if (!have || cd < d) {
+          d = cd;
+          have = true;
+        }
+      }
+      if (!have) break;
+      if (next_window < window_docs.size() && window_docs[next_window] == d) {
+        ++next_window;
+      }
+      for (size_t i = 0; i < slots.cursors.size(); ++i) {
+        PostingsCursor& c = slots.cursors[i];
+        slots.tf[i] = 0;
+        if (!c.AtEnd() && c.doc() == d) {
+          slots.tf[i] = c.tf();
+          c.Next();
+        }
+      }
       if (!index.IsAlive(d)) continue;  // tombstoned, awaiting compaction
       auto info = index.GetDoc(d);
       double dl = info.ok() ? static_cast<double>((*info)->length) : avgdl;
-      out[d] = Belief(index, query, d, dl, n, avgdl, tf_cache, window_cache,
-                      corpus);
+      out[d] = Belief(query, d, dl, n, avgdl, slots, window_cache, corpus);
     }
     return out;
   }
 
  private:
-  using TfCache =
-      std::unordered_map<std::string, std::unordered_map<DocId, uint32_t>>;
   using WindowCache = std::map<const QueryNode*, std::map<DocId, uint32_t>>;
 
-  static Status CollectEvidence(const InvertedIndex& index,
-                                const QueryNode& node,
-                                const WindowCache& window_cache,
-                                std::deque<std::vector<Posting>>& decoded,
-                                std::vector<const std::vector<Posting>*>& lists,
-                                std::vector<DocId>& window_docs,
-                                TfCache& tf_cache) {
+  /// One slot per distinct evidence term: its cursor, its df and the
+  /// current document's tf (0 when the document lacks the term).
+  struct TermSlots {
+    std::vector<PostingsCursor> cursors;
+    std::vector<uint64_t> df;
+    std::vector<uint32_t> tf;
+    std::unordered_map<std::string, size_t> by_term;
+    std::unordered_map<const QueryNode*, size_t> by_node;
+  };
+
+  static void CollectEvidence(const InvertedIndex& index,
+                              const QueryNode& node, const CorpusStats* corpus,
+                              const WindowCache& window_cache,
+                              TermSlots& slots,
+                              std::vector<DocId>& window_docs) {
     if (node.op == QueryOp::kOdn || node.op == QueryOp::kUwn) {
       auto it = window_cache.find(&node);
       if (it != window_cache.end()) {
         for (const auto& [doc, tf] : it->second) window_docs.push_back(doc);
       }
-      return Status::OK();  // Terms in a window contribute via matches.
+      return;  // Terms in a window contribute via matches.
     }
     if (node.op == QueryOp::kTerm) {
-      if (tf_cache.count(node.term) > 0) {
-        return Status::OK();  // repeated query term, already decoded
+      // A repeated query term shares its first occurrence's slot.
+      auto [it, fresh] =
+          slots.by_term.emplace(node.term, slots.cursors.size());
+      if (fresh) {
+        slots.cursors.push_back(index.OpenCursor(node.term));
+        slots.df.push_back(corpus != nullptr ? corpus->Df(node.term)
+                                             : index.DocFreq(node.term));
+        slots.tf.push_back(0);
       }
-      SDMS_ASSIGN_OR_RETURN(std::vector<Posting> postings,
-                            index.DecodePostings(node.term));
-      if (postings.empty()) return Status::OK();
-      auto& per_doc = tf_cache[node.term];
-      per_doc.reserve(postings.size());
-      for (const Posting& p : postings) per_doc[p.doc] = p.tf;
-      decoded.push_back(std::move(postings));
-      lists.push_back(&decoded.back());
-      return Status::OK();
+      slots.by_node[&node] = it->second;
+      return;
     }
     for (const auto& c : node.children) {
-      SDMS_RETURN_IF_ERROR(CollectEvidence(index, *c, window_cache, decoded,
-                                           lists, window_docs, tf_cache));
+      CollectEvidence(index, *c, corpus, window_cache, slots, window_docs);
     }
-    return Status::OK();
   }
 
   static Status CollectWindows(const InvertedIndex& index,
@@ -143,18 +158,12 @@ class InferenceNetModel : public RetrievalModel {
     return Status::OK();
   }
 
-  double TermBelief(const InvertedIndex& index, const std::string& term,
-                    DocId doc, double dl, double n, double avgdl,
-                    const TfCache& tf_cache,
-                    const CorpusStats* corpus) const {
-    auto it = tf_cache.find(term);
-    uint32_t tf = 0;
-    if (it != tf_cache.end()) {
-      auto dit = it->second.find(doc);
-      if (dit != it->second.end()) tf = dit->second;
-    }
+  double TermBelief(const QueryNode& node, double dl, double n, double avgdl,
+                    const TermSlots& slots) const {
+    size_t slot = slots.by_node.at(&node);
+    uint32_t tf = slots.tf[slot];
     if (tf == 0) return default_belief_;
-    uint64_t df = corpus != nullptr ? corpus->Df(term) : index.DocFreq(term);
+    uint64_t df = slots.df[slot];
     double ntf = static_cast<double>(tf) /
                  (static_cast<double>(tf) + 0.5 + 1.5 * dl / avgdl);
     double nidf = std::log((n + 0.5) / std::max<double>(df, 1.0)) /
@@ -163,8 +172,8 @@ class InferenceNetModel : public RetrievalModel {
     return default_belief_ + (1.0 - default_belief_) * ntf * nidf;
   }
 
-  double Belief(const InvertedIndex& index, const QueryNode& node, DocId doc,
-                double dl, double n, double avgdl, const TfCache& tf_cache,
+  double Belief(const QueryNode& node, DocId doc, double dl, double n,
+                double avgdl, const TermSlots& slots,
                 const WindowCache& window_cache,
                 const CorpusStats* corpus) const {
     if (node.op == QueryOp::kOdn || node.op == QueryOp::kUwn) {
@@ -188,35 +197,32 @@ class InferenceNetModel : public RetrievalModel {
     }
     switch (node.op) {
       case QueryOp::kTerm:
-        return TermBelief(index, node.term, doc, dl, n, avgdl, tf_cache,
-                          corpus);
+        return TermBelief(node, dl, n, avgdl, slots);
       case QueryOp::kAnd: {
         double b = 1.0;
         for (const auto& c : node.children) {
-          b *= Belief(index, *c, doc, dl, n, avgdl, tf_cache, window_cache,
-                      corpus);
+          b *= Belief(*c, doc, dl, n, avgdl, slots, window_cache, corpus);
         }
         return node.children.empty() ? default_belief_ : b;
       }
       case QueryOp::kOr: {
         double b = 1.0;
         for (const auto& c : node.children) {
-          b *= 1.0 - Belief(index, *c, doc, dl, n, avgdl, tf_cache,
-                            window_cache, corpus);
+          b *= 1.0 - Belief(*c, doc, dl, n, avgdl, slots, window_cache,
+                            corpus);
         }
         return node.children.empty() ? default_belief_ : 1.0 - b;
       }
       case QueryOp::kNot:
         return node.children.empty()
                    ? default_belief_
-                   : 1.0 - Belief(index, *node.children[0], doc, dl, n, avgdl,
-                                  tf_cache, window_cache, corpus);
+                   : 1.0 - Belief(*node.children[0], doc, dl, n, avgdl,
+                                  slots, window_cache, corpus);
       case QueryOp::kSum: {
         if (node.children.empty()) return 0.0;
         double sum = 0.0;
         for (const auto& c : node.children) {
-          sum += Belief(index, *c, doc, dl, n, avgdl, tf_cache, window_cache,
-                        corpus);
+          sum += Belief(*c, doc, dl, n, avgdl, slots, window_cache, corpus);
         }
         return sum / static_cast<double>(node.children.size());
       }
@@ -226,8 +232,8 @@ class InferenceNetModel : public RetrievalModel {
         double wsum = 0.0;
         for (size_t i = 0; i < node.children.size(); ++i) {
           double w = i < node.weights.size() ? node.weights[i] : 1.0;
-          sum += w * Belief(index, *node.children[i], doc, dl, n, avgdl,
-                            tf_cache, window_cache, corpus);
+          sum += w * Belief(*node.children[i], doc, dl, n, avgdl, slots,
+                            window_cache, corpus);
           wsum += w;
         }
         return wsum > 0.0 ? sum / wsum : 0.0;
@@ -235,7 +241,7 @@ class InferenceNetModel : public RetrievalModel {
       case QueryOp::kMax: {
         double best = 0.0;
         for (const auto& c : node.children) {
-          best = std::max(best, Belief(index, *c, doc, dl, n, avgdl, tf_cache,
+          best = std::max(best, Belief(*c, doc, dl, n, avgdl, slots,
                                        window_cache, corpus));
         }
         return best;

@@ -37,11 +37,11 @@ class VectorSpaceModel : public RetrievalModel {
       double idf = std::log(n / static_cast<double>(df)) + 1.0;
       double wq = static_cast<double>(tf_q) * idf;
       query_norm_sq += wq * wq;
-      SDMS_ASSIGN_OR_RETURN(std::vector<Posting> postings,
-                            index.DecodePostings(term));
-      for (const Posting& p : postings) {
-        double wd = (1.0 + std::log(static_cast<double>(p.tf))) * idf;
-        scores[p.doc] += wq * wd;
+      for (PostingsCursor c = index.OpenCursor(term); !c.AtEnd(); c.Next()) {
+        DocId doc = c.doc();
+        if (c.AtEnd()) return c.status();  // decode failure latched
+        double wd = (1.0 + std::log(static_cast<double>(c.tf()))) * idf;
+        scores[doc] += wq * wd;
       }
     }
     if (scores.empty()) return scores;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "coupling_test_util.h"
 
@@ -123,6 +124,62 @@ TEST(MixedQueryTest, MultipleRestrictionsIntersect) {
       oodb::Value(r->rows[0][0]).as_oid());
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text->find("P4"), std::string::npos);
+}
+
+std::multiset<std::string> RowStrings(const oodb::vql::QueryResult& r) {
+  std::multiset<std::string> out;
+  for (const auto& row : r.rows) {
+    std::string line;
+    for (const auto& v : row) line += v.ToString() + "|";
+    out.insert(line);
+  }
+  return out;
+}
+
+/// findIRSValue on a document (not represented in "paras") derives its
+/// value and buffers it — with those of its other unrepresented
+/// elements — in the same getIRSResult dictionary the IRS-first
+/// strategy takes its candidates from (Figure 3).
+std::unique_ptr<testutil::CoupledSystem> Figure4WithDerivedDocValue() {
+  auto sys = MakeFigure4System();
+  auto coll = sys->coupling->GetCollectionByName("paras");
+  EXPECT_TRUE(coll.ok());
+  auto derived = (*coll)->FindIrsValue("www", sys->roots[0]);
+  EXPECT_TRUE(derived.ok());
+  EXPECT_GT(*derived, 0.5);  // M1 holds the www paragraph P1
+  return sys;
+}
+
+TEST(MixedQueryTest, IrsFirstBindsOnlyRepresentedObjects) {
+  auto sys = Figure4WithDerivedDocValue();
+  MixedQueryEvaluator eval(sys->coupling.get());
+  const std::string query =
+      "ACCESS p, p -> length() FROM p IN PARA "
+      "WHERE p -> getIRSValue('paras', 'www') > 0.4";
+  auto independent = eval.Run(query, Strategy::kIndependent);
+  ASSERT_TRUE(independent.ok()) << independent.status().ToString();
+  auto irs_first = eval.Run(query, Strategy::kIrsFirst);
+  ASSERT_TRUE(irs_first.ok()) << irs_first.status().ToString();
+  EXPECT_EQ(RowStrings(*irs_first), RowStrings(*independent));
+  EXPECT_EQ(independent->rows.size(), 5u);
+  EXPECT_EQ(eval.last_run().irs_restrictions, 1u);
+}
+
+TEST(MixedQueryTest, IrsFirstLeavesUnrepresentedClassesIndependent) {
+  auto sys = Figure4WithDerivedDocValue();
+  MixedQueryEvaluator eval(sys->coupling.get());
+  // MMFDOC objects are not represented in "paras": their values are
+  // derived, so the IRS result cannot restrict d.
+  const std::string query =
+      "ACCESS d FROM d IN MMFDOC "
+      "WHERE d -> getIRSValue('paras', 'www') > 0.4";
+  auto independent = eval.Run(query, Strategy::kIndependent);
+  ASSERT_TRUE(independent.ok()) << independent.status().ToString();
+  auto irs_first = eval.Run(query, Strategy::kIrsFirst);
+  ASSERT_TRUE(irs_first.ok()) << irs_first.status().ToString();
+  EXPECT_EQ(RowStrings(*irs_first), RowStrings(*independent));
+  EXPECT_EQ(independent->rows.size(), 4u);
+  EXPECT_EQ(eval.last_run().irs_restrictions, 0u);
 }
 
 TEST(MixedQueryTest, UnknownCollectionFails) {

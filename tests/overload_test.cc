@@ -23,6 +23,7 @@
 #include "coupling/result_buffer.h"
 #include "coupling_test_util.h"
 #include "irs/index/postings_kernels.h"
+#include "irs/model/retrieval_model.h"
 
 namespace sdms::coupling {
 namespace {
@@ -134,16 +135,13 @@ TEST(QueryContextTest, ParallelForPropagatesContextIntoWorkers) {
 // Kernel-level cancellation
 // ---------------------------------------------------------------------------
 
-std::vector<irs::Posting> MakePostings(size_t n, uint32_t stride) {
-  std::vector<irs::Posting> out;
-  out.reserve(n);
+/// A block-compressed list of `n` postings on docs 0..n-1.
+irs::BlockPostingsList MakeList(size_t n) {
+  irs::BlockPostingsList list;
   for (size_t i = 0; i < n; ++i) {
-    irs::Posting p;
-    p.doc = static_cast<irs::DocId>(i * stride);
-    p.tf = 1;
-    out.push_back(std::move(p));
+    list.Append(static_cast<irs::DocId>(i), 1, {0}, 1);
   }
-  return out;
+  return list;
 }
 
 TEST(KernelCancellationTest, IntersectExitsEarlyWithPartialOutput) {
@@ -151,44 +149,69 @@ TEST(KernelCancellationTest, IntersectExitsEarlyWithPartialOutput) {
   // 10k-entry identical lists: the full intersection would return all
   // 10k docs; a pre-cancelled context must truncate at the first
   // stride poll.
-  std::vector<irs::Posting> a = MakePostings(10000, 1);
-  std::vector<irs::Posting> b = a;
+  irs::BlockPostingsList a = MakeList(10000);
+  irs::BlockPostingsList b = MakeList(10000);
   QueryContext ctx;
   ctx.RequestCancel();
   QueryContext::Scope scope(&ctx);
   uint64_t before = early.value();
-  std::vector<irs::DocId> out = irs::IntersectPostings({&a, &b});
-  EXPECT_LT(out.size(), 10000u);
+  auto out = irs::IntersectCursors(
+      {irs::PostingsCursor(&a), irs::PostingsCursor(&b)});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_LT(out->size(), 10000u);
   EXPECT_GT(early.value(), before);
 }
 
-TEST(KernelCancellationTest, UnionAndTopKExitEarly) {
-  obs::Counter& early = obs::GetCounter("irs.kernel.early_exits");
-  std::vector<irs::Posting> a = MakePostings(8000, 2);
-  std::vector<irs::Posting> b = MakePostings(8000, 3);
-  // Ascending scores: the true best entries live at the *end*, so a
-  // truncated scan provably returns a worse top hit than a full one.
-  std::vector<std::pair<irs::DocId, double>> scored;
-  for (size_t i = 0; i < 8000; ++i) {
-    scored.emplace_back(static_cast<irs::DocId>(i), double(i));
+/// An index of `n` documents, every one holding "www" and every
+/// seventh "nii".
+irs::InvertedIndex MakeIndex(size_t n) {
+  irs::InvertedIndex index;
+  for (size_t i = 0; i < n; ++i) {
+    index.AddDocument("oid:" + std::to_string(i),
+                      {"www", i % 7 == 0 ? "nii" : "filler"});
   }
+  return index;
+}
+
+/// #or(www nii) — the inference net's document-at-a-time pass merges
+/// both term cursors.
+std::unique_ptr<irs::QueryNode> WwwOrNii() {
+  auto query = std::make_unique<irs::QueryNode>();
+  query->op = irs::QueryOp::kOr;
+  for (const char* term : {"www", "nii"}) {
+    auto leaf = std::make_unique<irs::QueryNode>();
+    leaf->term = term;
+    query->children.push_back(std::move(leaf));
+  }
+  return query;
+}
+
+TEST(KernelCancellationTest, InqueryScoreStopsWhenCancelled) {
+  irs::InvertedIndex index = MakeIndex(5000);
+  auto query = WwwOrNii();
+  auto model = irs::MakeInferenceNetModel();
   QueryContext ctx;
   ctx.RequestCancel();
   QueryContext::Scope scope(&ctx);
-  uint64_t before = early.value();
-  EXPECT_LT(irs::UnionPostings({&a, &b}).size(), 12000u);
-  auto top = irs::TopK(scored, 100);
-  ASSERT_FALSE(top.empty());
-  EXPECT_LT(top.front().second, 7999.0);
-  EXPECT_GE(early.value(), before + 2);
+  auto scores = model->Score(index, *query, nullptr);
+  ASSERT_FALSE(scores.ok());
+  EXPECT_EQ(scores.status().code(), StatusCode::kCancelled);
 }
 
 TEST(KernelCancellationTest, UncancelledKernelsAreExact) {
   // The strided poll must not change results when nothing stops.
-  std::vector<irs::Posting> a = MakePostings(5000, 1);
-  std::vector<irs::Posting> b = MakePostings(5000, 1);
-  EXPECT_EQ(irs::IntersectPostings({&a, &b}).size(), 5000u);
-  EXPECT_EQ(irs::UnionPostings({&a, &b}).size(), 5000u);
+  irs::BlockPostingsList a = MakeList(5000);
+  irs::BlockPostingsList b = MakeList(5000);
+  auto out = irs::IntersectCursors(
+      {irs::PostingsCursor(&a), irs::PostingsCursor(&b)});
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->size(), 5000u);
+
+  irs::InvertedIndex index = MakeIndex(5000);
+  auto query = WwwOrNii();
+  auto scores = irs::MakeInferenceNetModel()->Score(index, *query, nullptr);
+  ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+  EXPECT_EQ(scores->size(), 5000u);
 }
 
 // ---------------------------------------------------------------------------

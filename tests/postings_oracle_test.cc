@@ -1,17 +1,25 @@
 // Oracle tests for the block-compressed postings path: the pruned
-// top-k scorer, the cursor kernels, and the sealed paged store must all
-// be bit-identical to the exhaustive / decoded reference paths.
+// top-k scorer, the INQUERY scorer, the cursor intersection, and the
+// sealed paged store must all be bit-identical to exhaustive /
+// fully decoded reference computations.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
+#include <iterator>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "irs/collection.h"
 #include "irs/index/postings_kernels.h"
+#include "irs/index/proximity.h"
+#include "irs/query/query_node.h"
 #include "irs/storage/postings_store.h"
 
 namespace sdms::irs {
@@ -108,6 +116,219 @@ TEST(PostingsOracleTest, TopKOracleSurvivesTombstones) {
   for (const char* q : kRankedQueries) ExpectTopKMatchesPrefix(*coll, q);
 }
 
+// ---------------------------------------------------------------------------
+// Brute-force INQUERY oracle
+// ---------------------------------------------------------------------------
+
+/// Test-local INQUERY scorer: the belief formula of
+/// inference_net_model.cc applied to *every* live document, from fully
+/// decoded postings lists. df is the list size (tombstoned postings
+/// included, as DocFreq counts them); windows come from
+/// WindowMatchFrequencies with the number of matching documents as df.
+class BruteForceInquery {
+ public:
+  static constexpr double kDefaultBelief = 0.4;
+
+  BruteForceInquery(const InvertedIndex& index, const QueryNode& query)
+      : index_(index),
+        n_(std::max<double>(index.doc_count(), 1.0)),
+        avgdl_(std::max(index.avg_doc_length(), 1e-9)) {
+    Prepare(query);
+  }
+
+  /// Belief of `query` for live document `doc`.
+  double Score(const QueryNode& query, DocId doc) const {
+    auto info = index_.GetDoc(doc);
+    EXPECT_TRUE(info.ok());
+    return Belief(query, doc, static_cast<double>((*info)->length));
+  }
+
+  /// True when `doc` holds a plain query term (one outside any window)
+  /// or matches a window — the documents the model scores; every other
+  /// document keeps the all-default belief and is not returned.
+  bool HasEvidence(const QueryNode& node, DocId doc) const {
+    if (node.op == QueryOp::kOdn || node.op == QueryOp::kUwn) {
+      return windows_.at(&node).count(doc) > 0;
+    }
+    if (node.op == QueryOp::kTerm) return Tf(node.term, doc) > 0;
+    for (const auto& c : node.children) {
+      if (HasEvidence(*c, doc)) return true;
+    }
+    return false;
+  }
+
+ private:
+  void Prepare(const QueryNode& node) {
+    if (node.op == QueryOp::kOdn || node.op == QueryOp::kUwn) {
+      std::vector<std::string> terms;
+      node.CollectTerms(terms);
+      auto freqs = WindowMatchFrequencies(index_, terms,
+                                          node.op == QueryOp::kOdn,
+                                          node.window);
+      ASSERT_TRUE(freqs.ok());
+      windows_[&node] = std::move(*freqs);
+      return;
+    }
+    if (node.op == QueryOp::kTerm) {
+      auto& per_doc = tf_[node.term];
+      const BlockPostingsList* list = index_.GetPostingsList(node.term);
+      if (list == nullptr) return;
+      auto postings = list->DecodeAll();
+      ASSERT_TRUE(postings.ok());
+      for (const Posting& p : *postings) per_doc[p.doc] = p.tf;
+      df_[node.term] = postings->size();
+      return;
+    }
+    for (const auto& c : node.children) Prepare(*c);
+  }
+
+  uint32_t Tf(const std::string& term, DocId doc) const {
+    const auto& per_doc = tf_.at(term);
+    auto it = per_doc.find(doc);
+    return it == per_doc.end() ? 0 : it->second;
+  }
+
+  double Evidence(double tf, double df, double dl) const {
+    double ntf = tf / (tf + 0.5 + 1.5 * dl / avgdl_);
+    double nidf =
+        std::log((n_ + 0.5) / std::max(df, 1.0)) / std::log(n_ + 1.0);
+    nidf = std::max(0.0, std::min(1.0, nidf));
+    return kDefaultBelief + (1.0 - kDefaultBelief) * ntf * nidf;
+  }
+
+  double Belief(const QueryNode& node, DocId doc, double dl) const {
+    const double db = kDefaultBelief;
+    switch (node.op) {
+      case QueryOp::kOdn:
+      case QueryOp::kUwn: {
+        const auto& matches = windows_.at(&node);
+        auto it = matches.find(doc);
+        if (it == matches.end()) return db;
+        return Evidence(it->second, static_cast<double>(matches.size()), dl);
+      }
+      case QueryOp::kTerm: {
+        uint32_t tf = Tf(node.term, doc);
+        if (tf == 0) return db;
+        return Evidence(tf, static_cast<double>(df_.at(node.term)), dl);
+      }
+      case QueryOp::kAnd: {
+        if (node.children.empty()) return db;
+        double b = 1.0;
+        for (const auto& c : node.children) b *= Belief(*c, doc, dl);
+        return b;
+      }
+      case QueryOp::kOr: {
+        if (node.children.empty()) return db;
+        double b = 1.0;
+        for (const auto& c : node.children) b *= 1.0 - Belief(*c, doc, dl);
+        return 1.0 - b;
+      }
+      case QueryOp::kNot:
+        if (node.children.empty()) return db;
+        return 1.0 - Belief(*node.children[0], doc, dl);
+      case QueryOp::kSum: {
+        if (node.children.empty()) return 0.0;
+        double sum = 0.0;
+        for (const auto& c : node.children) sum += Belief(*c, doc, dl);
+        return sum / static_cast<double>(node.children.size());
+      }
+      case QueryOp::kWsum: {
+        if (node.children.empty()) return 0.0;
+        double sum = 0.0;
+        double wsum = 0.0;
+        for (size_t i = 0; i < node.children.size(); ++i) {
+          double w = i < node.weights.size() ? node.weights[i] : 1.0;
+          sum += w * Belief(*node.children[i], doc, dl);
+          wsum += w;
+        }
+        return wsum > 0.0 ? sum / wsum : 0.0;
+      }
+      case QueryOp::kMax: {
+        double best = 0.0;
+        for (const auto& c : node.children) {
+          best = std::max(best, Belief(*c, doc, dl));
+        }
+        return best;
+      }
+    }
+    return db;
+  }
+
+  const InvertedIndex& index_;
+  const double n_;
+  const double avgdl_;
+  std::map<std::string, std::map<DocId, uint32_t>> tf_;
+  std::map<std::string, size_t> df_;
+  std::map<const QueryNode*, std::map<DocId, uint32_t>> windows_;
+};
+
+/// Every INQUERY operator, both window kinds, a repeated term and an
+/// absent term.
+const char* kInqueryOracleQueries[] = {
+    "shared topic",
+    "#and(shared topic)",
+    "#or(topic rare)",
+    "#not(rare)",
+    "#sum(shared #not(topic))",
+    "#max(shared rare t5)",
+    "#wsum(2 shared 1 #and(topic rare))",
+    "#od3(shared topic)",
+    "#uw8(shared rare)",
+    "#phrase(t1 t2)",
+    "#and(#od2(shared topic) rare #not(t3))",
+    "#sum(shared shared topic)",
+    "#or(nosuchterm rare)",
+    "nosuchterm",
+};
+
+void ExpectInqueryMatchesBruteForce(IrsCollection& coll) {
+  const InvertedIndex& index = coll.index();
+  for (const char* q : kInqueryOracleQueries) {
+    auto tree = ParseIrsQuery(q, coll.analyzer());
+    ASSERT_TRUE(tree.ok()) << q;
+    BruteForceInquery oracle(index, **tree);
+    std::map<std::string, double> expected;
+    index.ForEachDoc([&](DocId id, const DocInfo& info) {
+      if (oracle.HasEvidence(**tree, id)) {
+        expected[info.key] = oracle.Score(**tree, id);
+      }
+    });
+
+    auto hits = coll.Search(q);
+    ASSERT_TRUE(hits.ok()) << q << ": " << hits.status().ToString();
+    std::map<std::string, double> actual;
+    for (const SearchHit& h : *hits) actual[h.key] = h.score;
+    std::set<std::string> expected_keys, actual_keys;
+    for (const auto& [key, score] : expected) expected_keys.insert(key);
+    for (const auto& [key, score] : actual) actual_keys.insert(key);
+    EXPECT_EQ(actual_keys, expected_keys) << q;
+    for (const auto& [key, score] : actual) {
+      auto it = expected.find(key);
+      if (it == expected.end()) continue;  // reported by the set check
+      // Exact double equality on purpose: the production scorer must
+      // compute the very same expression per document.
+      EXPECT_EQ(score, it->second) << q << " " << key;
+    }
+  }
+}
+
+TEST(PostingsOracleTest, InqueryMatchesBruteForceBeliefs) {
+  auto model = MakeModel("inquery");
+  ASSERT_TRUE(model.ok());
+  IrsCollection coll("oracle", AnalyzerOptions{}, std::move(*model),
+                     /*num_shards=*/1);
+  ASSERT_TRUE(coll.AddDocumentsBatch(MakeCorpus(400, 40, 11)).ok());
+  ExpectInqueryMatchesBruteForce(coll);
+
+  // Tombstone a fifth of the corpus — below the compaction ratio, so
+  // the dead postings stay in the lists and in df.
+  for (int i = 0; i < 400; i += 5) {
+    ASSERT_TRUE(coll.RemoveDocument("oid:" + std::to_string(i)).ok());
+  }
+  ASSERT_GT(coll.index().tombstone_count(), 0u);
+  ExpectInqueryMatchesBruteForce(coll);
+}
+
 TEST(PostingsOracleTest, CursorKernelsMatchFlatKernels) {
   auto coll = BuildCollection("inquery");
   const InvertedIndex& index = coll->index();
@@ -125,26 +346,31 @@ TEST(PostingsOracleTest, CursorKernelsMatchFlatKernels) {
       ASSERT_EQ(analyzed.size(), 1u) << w;
       terms.push_back(analyzed[0]);
     }
-    std::vector<std::vector<Posting>> decoded;
-    for (const auto& t : terms) {
-      auto postings = index.DecodePostings(t);
-      ASSERT_TRUE(postings.ok());
-      decoded.push_back(std::move(*postings));
+    // Reference: std::set_intersection over the fully decoded doc ids
+    // (an unknown term has no list and empties the intersection).
+    std::vector<DocId> expected;
+    for (size_t i = 0; i < terms.size(); ++i) {
+      std::vector<DocId> docs;
+      if (const BlockPostingsList* list = index.GetPostingsList(terms[i])) {
+        auto postings = list->DecodeAll();
+        ASSERT_TRUE(postings.ok());
+        for (const Posting& p : *postings) docs.push_back(p.doc);
+      }
+      if (i == 0) {
+        expected = std::move(docs);
+        continue;
+      }
+      std::vector<DocId> both;
+      std::set_intersection(expected.begin(), expected.end(), docs.begin(),
+                            docs.end(), std::back_inserter(both));
+      expected = std::move(both);
     }
-    std::vector<const std::vector<Posting>*> flat;
-    for (const auto& l : decoded) flat.push_back(&l);
 
     std::vector<PostingsCursor> cursors;
     for (const auto& t : terms) cursors.push_back(index.OpenCursor(t));
     auto inter = IntersectCursors(std::move(cursors));
     ASSERT_TRUE(inter.ok());
-    EXPECT_EQ(*inter, IntersectPostings(flat));
-
-    cursors.clear();
-    for (const auto& t : terms) cursors.push_back(index.OpenCursor(t));
-    auto uni = UnionCursors(std::move(cursors));
-    ASSERT_TRUE(uni.ok());
-    EXPECT_EQ(*uni, UnionPostings(flat));
+    EXPECT_EQ(*inter, expected);
   }
 }
 
